@@ -1,7 +1,14 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"greensched/internal/carbon"
@@ -11,12 +18,47 @@ import (
 	"greensched/internal/workload"
 )
 
-// This file is the module redesign's back-compat contract: a
-// legacy-style Config driving every one-slot hook (Carbon, SLA,
-// Preemption, PolicyFunc, OnFinish, OnControl) must produce a
-// byte-identical Result to the equivalent explicit module stack, and
-// both paths must be deterministic. If an adapter ever drifts from its
-// module, this is the test that fails.
+// This file pins the module stack against golden digests recorded from
+// a legacy-style Config driving every one-slot hook (Carbon, SLA,
+// Preemption, PolicyFunc, OnFinish, OnControl): the explicit module
+// spelling of the same scenario must reproduce that Result and the
+// completion order its OnFinish hook saw, byte for byte.
+
+var update = flag.Bool("update", false, "rewrite the golden digests under testdata/golden")
+
+// digest is the hex SHA-256 of v's JSON encoding.
+func digest(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkGolden compares got with testdata/golden/name, or rewrites that
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	if w := strings.TrimSuffix(string(want), "\n"); w != got {
+		t.Errorf("%s: got %s, golden %s", name, got, w)
+	}
+}
 
 // compatProfile builds a small two-site grid.
 func compatProfile() *carbon.Profile {
@@ -150,8 +192,8 @@ func moduleConfig(t *testing.T, onFinish func(TaskRecord)) Config {
 	)
 }
 
-// TestLegacyConfigMatchesModuleStack: the two spellings produce
-// byte-identical Results.
+// TestLegacyConfigMatchesModuleStack: the module stack reproduces the
+// Result and completion order recorded from the legacy config.
 func TestLegacyConfigMatchesModuleStack(t *testing.T) {
 	var legacySeen, moduleSeen []int
 	legacy, err := Run(legacyConfig(t, func(rec TaskRecord) { legacySeen = append(legacySeen, rec.ID) }))
@@ -168,6 +210,8 @@ func TestLegacyConfigMatchesModuleStack(t *testing.T) {
 	if !reflect.DeepEqual(legacySeen, moduleSeen) {
 		t.Errorf("OnFinish hook saw different completions: %v vs %v", legacySeen, moduleSeen)
 	}
+	checkGolden(t, "compat.sha256", digest(t, legacy))
+	checkGolden(t, "compat-onfinish.sha256", digest(t, legacySeen))
 	// The scenario must actually have exercised the whole surface.
 	if legacy.CO2Grams <= 0 {
 		t.Error("scenario never integrated emissions")
