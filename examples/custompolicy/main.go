@@ -54,9 +54,9 @@ func main() {
 	// service that sleeps proportionally to the problem size.
 	mkSED := func(name string, speed, watts float64) *middleware.SED {
 		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			Meter: func() (float64, bool) { return watts, true },
+			Name:         name,
+			Slots:        2,
+			Interceptors: []middleware.Interceptor{&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }}},
 		})
 		if err != nil {
 			panic(err)

@@ -44,9 +44,9 @@ func fail(err error) {
 // the crash orphans.
 func sedFor(name string, release <-chan struct{}, started chan<- string) (*middleware.SED, error) {
 	sed, err := middleware.NewSED(middleware.SEDConfig{
-		Name:  name,
-		Slots: 2,
-		Meter: func() (float64, bool) { return 100, true },
+		Name:         name,
+		Slots:        2,
+		Interceptors: []middleware.Interceptor{&middleware.MeterInterceptor{Meter: func() (float64, bool) { return 100, true }}},
 	})
 	if err != nil {
 		return nil, err

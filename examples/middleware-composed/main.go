@@ -13,9 +13,10 @@
 //     tracker (the share travels inside the gob response, so metering
 //     works across the wire).
 //
-// The legacy SEDConfig.Meter/Carbon/Estimation fields still work and
-// are converted onto this exact interceptor path internally; new
-// deployments should compose interceptors directly.
+// Interceptors are the SED's one extension surface too: a
+// MeterInterceptor feeds each SED's power estimator, and
+// CarbonInterceptor or EstimationInterceptor extend or replace its
+// estimation vector.
 package main
 
 import (

@@ -25,9 +25,9 @@ func main() {
 func run() error {
 	mkSED := func(name string, speed, watts float64) (*middleware.SED, error) {
 		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			Meter: func() (float64, bool) { return watts, true },
+			Name:         name,
+			Slots:        2,
+			Interceptors: []middleware.Interceptor{&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }}},
 		})
 		if err != nil {
 			return nil, err

@@ -53,10 +53,10 @@ func run(out string) error {
 
 	mkSED := func(name string, speed, watts float64) (*middleware.SED, error) {
 		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			Meter: func() (float64, bool) { return watts, true },
-			Spans: spans, // the SED emits its own queue/solve spans
+			Name:         name,
+			Slots:        2,
+			Spans:        spans, // the SED emits its own queue/solve spans
+			Interceptors: []middleware.Interceptor{&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }}},
 		})
 		if err != nil {
 			return nil, err

@@ -1,9 +1,10 @@
 // Golden digests: every seeded sim scenario and every sim-substrate
 // study reproduces the SHA-256 of its json.Marshal(Result) recorded
-// under testdata/golden. The digests are recorded from the seed
-// scheduling kernel and the deprecated one-slot Config spellings, and
-// the event-heap kernel and the module spellings must reproduce them.
-// If a change ever moves an election, a wait
+// under testdata/golden. The digests were recorded from the seed
+// scheduling kernel and the deprecated one-slot Config spellings while
+// those still existed, and the event-heap kernel and the module
+// spellings were asserted to reproduce them; the recorded outputs are
+// now the reference those paths used to be. If a change ever moves an election, a wait
 // estimate, a virtual timestamp or a ledger entry, these tests fail
 // before any figure drifts. Run `go test -run Golden -update .` only
 // for a change that alters results on purpose.
@@ -196,12 +197,6 @@ func TestEventKernelMatchesLegacyKernel(t *testing.T) {
 	for name, build := range equivConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range goldenSeeds {
-				legacyCfg := build(seed)
-				legacyCfg.LegacyKernel = true
-				legacyRes, err := sim.Run(legacyCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
 				res, err := sim.Run(build(seed))
 				if err != nil {
 					t.Fatal(err)
@@ -209,11 +204,7 @@ func TestEventKernelMatchesLegacyKernel(t *testing.T) {
 				if res.Completed == 0 {
 					t.Fatalf("seed %d: scenario completed nothing; the digest is vacuous", seed)
 				}
-				legacy, got := resultDigest(t, legacyRes), resultDigest(t, res)
-				if legacy != got {
-					t.Errorf("seed %d: kernels diverged: legacy %s, event %s", seed, legacy, got)
-				}
-				checkGolden(t, fmt.Sprintf("%s-seed%d.sha256", name, seed), legacy)
+				checkGolden(t, fmt.Sprintf("%s-seed%d.sha256", name, seed), resultDigest(t, res))
 			}
 		})
 	}
@@ -221,25 +212,20 @@ func TestEventKernelMatchesLegacyKernel(t *testing.T) {
 
 // TestComposedStackExercisesAllModules guards against the composed
 // scenario silently degenerating: emissions, the ledger and the
-// controller must all have fired, on both kernels.
+// controller must all have fired.
 func TestComposedStackExercisesAllModules(t *testing.T) {
-	build := equivConfigs(t)["composed-stack"]
-	for _, legacy := range []bool{true, false} {
-		cfg := build(goldenSeeds[0])
-		cfg.LegacyKernel = legacy
-		res, err := sim.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.CO2Grams <= 0 {
-			t.Errorf("legacy=%v: no emissions integrated", legacy)
-		}
-		if res.SLA == nil || res.SLA.Completed == 0 {
-			t.Errorf("legacy=%v: ledger never ran", legacy)
-		}
-		if res.Boots+res.Shutdowns == 0 {
-			t.Errorf("legacy=%v: controller never acted", legacy)
-		}
+	res, err := sim.Run(equivConfigs(t)["composed-stack"](goldenSeeds[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CO2Grams <= 0 {
+		t.Error("no emissions integrated")
+	}
+	if res.SLA == nil || res.SLA.Completed == 0 {
+		t.Error("ledger never ran")
+	}
+	if res.Boots+res.Shutdowns == 0 {
+		t.Error("controller never acted")
 	}
 }
 

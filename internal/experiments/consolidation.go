@@ -104,7 +104,7 @@ func RunConsolidation(cfg ConsolidationConfig) (*ConsolidationResult, error) {
 		}
 		c := base
 		c.Policy = policy
-		c.OnControl = ctl.Tick
+		c.Modules = []sim.Module{&consolidation.Module{Controller: ctl}}
 		c.ControlEvery = cfg.TickSec
 		return c, nil
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -58,12 +57,11 @@ var goldenTags = []estvec.Tag{
 	estvec.TagQueueLen, estvec.TagActive, estvec.TagKnown, estvec.TagRequests,
 }
 
-// compatPair builds the same two-SED deployment twice: once through
-// the legacy fields, once through the explicit interceptor stack. The
-// SEDs oppose power and carbon (lean grid, hungry node vs dirty grid,
-// lean node) so different policies elect different servers — a stack
-// that drops a tag flips an election here.
-func compatPair(t *testing.T) (legacy, explicit map[string]*SED) {
+// goldenPair builds the golden two-SED deployment on the interceptor
+// stack. The SEDs oppose power and carbon (lean grid, hungry node vs
+// dirty grid, lean node) so different policies elect different servers
+// — a stack that drops a tag flips an election here.
+func goldenPair(t *testing.T) map[string]*SED {
 	t.Helper()
 	specs := []struct {
 		name   string
@@ -73,33 +71,22 @@ func compatPair(t *testing.T) (legacy, explicit map[string]*SED) {
 		{"greedy-clean", 300, 100},
 		{"frugal-dirty", 90, 500},
 	}
-	legacy = make(map[string]*SED)
-	explicit = make(map[string]*SED)
+	seds := make(map[string]*SED)
 	for _, spec := range specs {
 		watts, g := spec.watts, spec.carbon
-		meter := func() (float64, bool) { return watts, true }
-		carbonFn := func() (float64, bool) { return g, true }
-
-		l, err := NewSED(SEDConfig{Name: spec.name, Slots: 2, Meter: meter, Carbon: carbonFn})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewSED(SEDConfig{Name: spec.name, Slots: 2, Interceptors: []Interceptor{
-			&MeterInterceptor{Meter: meter},
-			&CarbonInterceptor{Func: carbonFn},
+		sed, err := NewSED(SEDConfig{Name: spec.name, Slots: 2, Interceptors: []Interceptor{
+			&MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
+			&CarbonInterceptor{Func: func() (float64, bool) { return g, true }},
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sed := range []*SED{l, e} {
-			if err := sed.Register(burnService(2e9)); err != nil {
-				t.Fatal(err)
-			}
+		if err := sed.Register(burnService(2e9)); err != nil {
+			t.Fatal(err)
 		}
-		legacy[spec.name] = l
-		explicit[spec.name] = e
+		seds[spec.name] = sed
 	}
-	return legacy, explicit
+	return seds
 }
 
 // electionTable primes the pair and renders its deterministic tags and
@@ -144,12 +131,7 @@ func electionTable(t *testing.T, seds map[string]*SED) string {
 // the interceptor stack reproduces the recorded estimation tags and
 // elections of the legacy config.
 func TestLegacySEDConfigMatchesInterceptorStack(t *testing.T) {
-	legacy, explicit := compatPair(t)
-	want := electionTable(t, legacy)
-	if got := electionTable(t, explicit); got != want {
-		t.Errorf("spellings diverged:\nlegacy   %s\nexplicit %s", want, got)
-	}
-	checkGolden(t, "elections.json", want)
+	checkGolden(t, "elections.json", electionTable(t, goldenPair(t)))
 }
 
 // TestLegacyEstimationMatchesEstimationInterceptor: a fully custom
@@ -163,37 +145,22 @@ func TestLegacyEstimationMatchesEstimationInterceptor(t *testing.T) {
 			Set(estvec.TagFlops, 3e9).
 			SetBool(estvec.TagActive, true)
 	}
-	l, err := NewSED(SEDConfig{Name: "custom", Slots: 1, Estimation: custom,
-		Carbon: func() (float64, bool) { return 400, true }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewSED(SEDConfig{Name: "custom", Slots: 1, Interceptors: []Interceptor{
+	sed, err := NewSED(SEDConfig{Name: "custom", Slots: 1, Interceptors: []Interceptor{
 		&CarbonInterceptor{Func: func() (float64, bool) { return 400, true }},
 		&EstimationInterceptor{Estimate: custom},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sed := range []*SED{l, e} {
-		if err := sed.Register(burnService(2e9)); err != nil {
-			t.Fatal(err)
-		}
+	if err := sed.Register(burnService(2e9)); err != nil {
+		t.Fatal(err)
 	}
-	ctx := context.Background()
-	lv, err := l.Estimate(ctx, Request{Service: "burn", Ops: 1e6})
+	v, err := sed.Estimate(context.Background(), Request{Service: "burn", Ops: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := e.Estimate(ctx, Request{Service: "burn", Ops: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lv, ev) {
-		t.Errorf("vectors diverged:\nlegacy:   %v\nexplicit: %v", lv[0], ev[0])
-	}
-	checkGolden(t, "custom-estimation.txt", lv[0].String())
-	if ev[0].Has(estvec.TagCarbonIntensity) {
+	checkGolden(t, "custom-estimation.txt", v[0].String())
+	if v[0].Has(estvec.TagCarbonIntensity) {
 		t.Error("estimation override must suppress the carbon tag")
 	}
 }

@@ -41,9 +41,9 @@ func TestLivePlacementShape(t *testing.T) {
 			sed, err := NewSED(SEDConfig{
 				Name:  p.name,
 				Slots: p.slots,
-				Meter: func(w float64) MeterFunc {
+				Interceptors: []Interceptor{&MeterInterceptor{Meter: func(w float64) MeterFunc {
 					return func() (float64, bool) { return w, true }
-				}(p.watts),
+				}(p.watts)}},
 			})
 			if err != nil {
 				t.Fatal(err)

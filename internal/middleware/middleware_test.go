@@ -33,9 +33,9 @@ func burnService(speed float64) Service {
 func newSED(t *testing.T, name string, slots int, speed, watts float64) *SED {
 	t.Helper()
 	sed, err := NewSED(SEDConfig{
-		Name:  name,
-		Slots: slots,
-		Meter: func() (float64, bool) { return watts, true },
+		Name:         name,
+		Slots:        slots,
+		Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return watts, true }}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -520,7 +520,7 @@ func BenchmarkHierarchyElection(b *testing.B) {
 	ma, _ := NewMasterAgent("ma", policy)
 	for i := 0; i < 16; i++ {
 		sed, _ := NewSED(SEDConfig{Name: fmt.Sprintf("s%d", i), Slots: 4,
-			Meter: func() (float64, bool) { return 100, true }})
+			Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return 100, true }}}})
 		sed.Register(Service{Name: "burn", Solve: func(ctx context.Context, r Request) ([]byte, error) { return nil, nil }})
 		sed.Solve(context.Background(), Request{Service: "burn", Ops: 1e6})
 		ma.Attach(sed)

@@ -50,7 +50,7 @@ func TestSpanTreeStitchesAcrossTCP(t *testing.T) {
 	for name, speed := range map[string]float64{"lean": 2e9, "hungry": 4e9} {
 		sed, err := NewSED(SEDConfig{
 			Name: name, Slots: 2, Spans: w,
-			Meter: func() (float64, bool) { return 100, true },
+			Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return 100, true }}},
 		})
 		if err != nil {
 			t.Fatal(err)

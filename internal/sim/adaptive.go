@@ -89,8 +89,11 @@ type adaptiveRunner struct {
 	eng *simtime.Engine
 	rng *rand.Rand
 
-	seds  []*sedState // in GreenPerf order: seds[0] is the greenest
-	sel   *sched.Selector
+	seds []*sedState // in GreenPerf order: seds[0] is the greenest
+	sel  *sched.Selector
+	// vecs and list are the election scratch, refilled per submission.
+	vecs  []estvec.Vector
+	list  estvec.List
 	res   *AdaptiveResult
 	pool  int // current candidate pool size
 	tasks int // task ID counter
@@ -169,6 +172,8 @@ func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		sed.static = &cal
 		r.seds = append(r.seds, sed)
 	}
+	r.vecs = make([]estvec.Vector, len(r.seds))
+	r.list = make(estvec.List, 0, len(r.seds))
 
 	r.schedulePlannerTicks()
 	r.scheduleSamples()
@@ -315,10 +320,12 @@ func (r *adaptiveRunner) submitToCapacity(now float64) {
 		return
 	}
 	for r.inFlight() < r.capacity() {
-		list := make(estvec.List, 0, len(r.seds))
-		for _, sed := range r.seds {
-			list = append(list, sed.vector(now, r.rng))
+		list := r.list[:0]
+		for i, sed := range r.seds {
+			sed.fillVector(&r.vecs[i], now, r.rng, false)
+			list = append(list, &r.vecs[i])
 		}
+		r.list = list
 		chosen, err := r.sel.Select(list)
 		if err != nil {
 			return

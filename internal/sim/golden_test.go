@@ -7,7 +7,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -125,8 +124,8 @@ func compatController() func(now float64, ctl Control) {
 	}
 }
 
-// deadlineWrap reproduces the per-task policy the SLA experiments
-// historically installed through Config.PolicyFunc.
+// deadlineWrap builds a per-task deadline-aware policy from the
+// catalog, ignoring the stack's base.
 func deadlineWrap(base sched.Policy, catalog sla.Catalog) func(float64, workload.Task) sched.Policy {
 	return func(now float64, t workload.Task) sched.Policy {
 		terms := catalog.Resolve(t)
@@ -146,29 +145,9 @@ func compatSLAConfig() *sla.Config {
 	}
 }
 
-// legacyConfig drives every deprecated one-slot hook at once.
-func legacyConfig(t *testing.T, onFinish func(TaskRecord)) Config {
-	base := sched.New(sched.GreenPerf)
-	return Config{
-		Platform:     smallPlatform(),
-		Policy:       base,
-		Tasks:        compatTasks(t),
-		Explore:      true,
-		Seed:         9,
-		SlotsPerNode: 1,
-		Carbon:       compatProfile(),
-		SLA:          compatSLAConfig(),
-		Preemption:   &sla.Preemption{RestartPenaltyFrac: 0.1},
-		PolicyFunc:   deadlineWrap(base, sla.DefaultCatalog()),
-		OnFinish:     onFinish,
-		OnControl:    compatController(),
-		ControlEvery: 30,
-		RetryEvery:   15,
-	}
-}
-
-// moduleConfig is the same scenario spelled as an explicit stack, in
-// the adapters' documented order.
+// moduleConfig spells the scenario as an explicit stack, in the order
+// the legacy one-slot fields were converted in: Carbon, SLA,
+// Preemption, PolicyFunc, OnFinish, OnControl.
 func moduleConfig(t *testing.T, onFinish func(TaskRecord)) Config {
 	base := sched.New(sched.GreenPerf)
 	wrap := deadlineWrap(base, sla.DefaultCatalog())
@@ -195,52 +174,21 @@ func moduleConfig(t *testing.T, onFinish func(TaskRecord)) Config {
 // TestLegacyConfigMatchesModuleStack: the module stack reproduces the
 // Result and completion order recorded from the legacy config.
 func TestLegacyConfigMatchesModuleStack(t *testing.T) {
-	var legacySeen, moduleSeen []int
-	legacy, err := Run(legacyConfig(t, func(rec TaskRecord) { legacySeen = append(legacySeen, rec.ID) }))
+	var seen []int
+	res, err := Run(moduleConfig(t, func(rec TaskRecord) { seen = append(seen, rec.ID) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	modular, err := Run(moduleConfig(t, func(rec TaskRecord) { moduleSeen = append(moduleSeen, rec.ID) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, modular) {
-		t.Errorf("legacy config and module stack diverged:\nlegacy:  %+v\nmodular: %+v", legacy, modular)
-	}
-	if !reflect.DeepEqual(legacySeen, moduleSeen) {
-		t.Errorf("OnFinish hook saw different completions: %v vs %v", legacySeen, moduleSeen)
-	}
-	checkGolden(t, "compat.sha256", digest(t, legacy))
-	checkGolden(t, "compat-onfinish.sha256", digest(t, legacySeen))
+	checkGolden(t, "compat.sha256", digest(t, res))
+	checkGolden(t, "compat-onfinish.sha256", digest(t, seen))
 	// The scenario must actually have exercised the whole surface.
-	if legacy.CO2Grams <= 0 {
+	if res.CO2Grams <= 0 {
 		t.Error("scenario never integrated emissions")
 	}
-	if legacy.SLA == nil || legacy.SLA.Completed == 0 {
+	if res.SLA == nil || res.SLA.Completed == 0 {
 		t.Error("scenario never ran the ledger")
 	}
-	if legacy.Boots == 0 && legacy.Shutdowns == 0 {
+	if res.Boots == 0 && res.Shutdowns == 0 {
 		t.Error("scenario never exercised the controller")
-	}
-}
-
-// TestLegacyAndModulePathsDeterministic: each spelling replays
-// byte-identically against itself.
-func TestLegacyAndModulePathsDeterministic(t *testing.T) {
-	for name, build := range map[string]func() Config{
-		"legacy": func() Config { return legacyConfig(t, nil) },
-		"module": func() Config { return moduleConfig(t, nil) },
-	} {
-		a, err := Run(build())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b, err := Run(build())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s path not deterministic", name)
-		}
 	}
 }

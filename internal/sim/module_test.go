@@ -147,11 +147,6 @@ func TestDuplicateModulesRejected(t *testing.T) {
 	cases := map[string]Config{
 		"two sla modules": NewScenario(smallPlatform(), tasks(2, 1e11, 1),
 			WithModules(slaMod(), slaMod())),
-		"legacy sla plus module": func() Config {
-			c := NewScenario(smallPlatform(), tasks(2, 1e11, 1), WithModules(slaMod()))
-			c.SLA = &sla.Config{}
-			return c
-		}(),
 		"two preempt modules": NewScenario(smallPlatform(), tasks(2, 1e11, 1),
 			WithModules(preMod(), preMod())),
 		"two carbon modules": NewScenario(smallPlatform(), tasks(2, 1e11, 1),

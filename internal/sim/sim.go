@@ -13,8 +13,7 @@
 // preemption, power-management controllers, budget tracking, thermal
 // monitoring — attach to a run as a stack of Module values
 // (Config.Modules, or NewScenario with functional options); see
-// module.go. The legacy one-slot Config hooks remain as thin adapters
-// onto that path.
+// module.go.
 package sim
 
 import (
@@ -83,61 +82,22 @@ type Config struct {
 	// and resubmitted by the client.
 	Crashes map[string]float64
 
-	// LegacyKernel runs the seed scheduling kernel: one arrival event
-	// per task, sort-based wait estimates, and freshly allocated
-	// estimation vectors per election. The default event-heap kernel
-	// replaces those with an arrival cursor, an incremental min-heap
-	// wait estimate and reusable scratch buffers — byte-identical
-	// Results, verified by the cross-engine equivalence tests. The flag
-	// exists for those tests; it will be removed once the legacy path
-	// has no remaining callers.
-	LegacyKernel bool
-
 	// Modules is the run's extension stack: every cross-cutting
 	// concern (carbon accounting, SLA machinery, preemption,
 	// power-management controllers, budget tracking, thermal
 	// monitoring) attaches as one Module, and any number of them
-	// compose in one run. Hooks run in stack order; see Module. The
-	// legacy one-slot fields below (Carbon, SLA, Preemption,
-	// PolicyFunc, OnFinish, OnControl) still work — NewRunner converts
-	// each into its equivalent module and prepends it to this stack —
-	// but new code should pass modules directly (or use NewScenario).
+	// compose in one run. Hooks run in stack order; see Module.
 	Modules []Module
-
-	// Carbon, when set, attaches a grid carbon-intensity profile to
-	// the platform: every node's exact energy accounting is integrated
-	// against its site's signal into grams of CO2 (Result.CO2Grams),
-	// and SEDs report their site's current intensity and renewable
-	// fraction in their estimation vectors so carbon-aware policies
-	// can rank on them.
-	//
-	// Deprecated: equivalent to appending &CarbonModule{Profile: …} to
-	// Modules; kept as a working adapter.
-	Carbon *carbon.Profile
 
 	// SampleEvery records a platform power sample every so many
 	// seconds (0 disables the series).
 	SampleEvery float64
 
-	// OnFinish, when set, observes every completed task record as it
-	// happens (virtual time). External controllers — e.g. a budget
-	// tracker charging per-task energy — hook in here.
-	//
-	// Deprecated: equivalent to a Modules entry of
-	// &HookModule{OnFinishFunc: …}; kept as a working adapter.
-	OnFinish func(TaskRecord)
-
-	// OnControl, when set with ControlEvery > 0, runs every
-	// ControlEvery virtual seconds with a Control surface over the
-	// platform: the hook for node power management policies such as
-	// idle-timeout consolidation (package consolidation). Ticks stop
-	// once all tasks complete.
-	//
-	// Deprecated: equivalent to a Modules entry of
-	// &HookModule{OnTickFunc: …}; kept as a working adapter.
-	// ControlEvery itself remains live — it is the tick cadence of
-	// every module's OnTick.
-	OnControl    func(now float64, ctl Control)
+	// ControlEvery is the control cadence: every module's OnTick runs
+	// every ControlEvery virtual seconds with a Control surface over
+	// the platform — the hook for node power management policies such
+	// as idle-timeout consolidation (package consolidation). Ticks stop
+	// once all tasks complete; 0 disables them.
 	ControlEvery float64
 
 	// RetryEvery is the client back-off between election attempts for
@@ -146,42 +106,6 @@ type Config struct {
 	// Controllers that defer work for hours (carbon windows) should
 	// raise it so the retry traffic stays proportionate.
 	RetryEvery float64
-
-	// SLA, when set, turns on service-level awareness: task classes
-	// resolve to deadlines/values/penalty curves, admission control
-	// screens first submissions (rejected tasks never run and forfeit
-	// their value), SED queues drain under the configured discipline
-	// (EDF, VALUE-DENSITY) instead of FIFO, and Result carries the
-	// revenue/penalty ledger plus per-task slack.
-	//
-	// Deprecated: equivalent to appending &SLAModule{Config: …} to
-	// Modules; kept as a working adapter.
-	SLA *sla.Config
-
-	// Preemption, when set, relaxes the run-to-completion invariant:
-	// a deadline-urgent arrival may checkpoint and displace a running
-	// task when the elected SED's own slack math says waiting would
-	// breach the deadline but preempting would not, and controllers may
-	// issue Control.Preempt. The checkpointed fraction of the victim's
-	// Ops is retained minus the configured restart penalty; the victim
-	// re-enters election with the remainder. A victim whose own
-	// deadline the restart would breach is never displaced
-	// (sla.SafeToDisplace). nil keeps tasks non-preemptible.
-	//
-	// Deprecated: equivalent to appending &PreemptModule{Preemption: …}
-	// to Modules; kept as a working adapter.
-	Preemption *sla.Preemption
-
-	// PolicyFunc, when set, builds the election policy per arriving
-	// task — the hook SLA-aware runs use to wrap Policy with
-	// sched.DeadlineAware or SLAWeightedPolicy for the task's own
-	// deadline. Config.Policy still names the run and serves retries.
-	//
-	// Deprecated: equivalent to a Modules entry whose WrapPolicy
-	// ignores its base (&HookModule{WrapPolicyFunc: …}), or to
-	// SLAModule.WrapDeadline for the deadline-aware case; kept as a
-	// working adapter.
-	PolicyFunc func(now float64, t workload.Task) sched.Policy
 }
 
 func (c *Config) defaults() error {
@@ -230,7 +154,7 @@ type TaskRecord struct {
 	Deadline float64
 	Class    string
 	// EarnedUSD is the value credited through the penalty curve
-	// (negative = contractual penalty); zero without Config.SLA.
+	// (negative = contractual penalty); zero without an SLAModule.
 	EarnedUSD float64
 	// EnergyShareJ is the task's share of its node's measured energy
 	// over the execution window: mean node draw × duration ÷ mean
@@ -238,7 +162,7 @@ type TaskRecord struct {
 	// joules instead of each being charged all of them.
 	EnergyShareJ float64
 	// CO2Grams integrates EnergyShareJ through the site's intensity
-	// signal over the execution window; zero without Config.Carbon.
+	// signal over the execution window; zero without a CarbonModule.
 	CO2Grams float64
 }
 
@@ -284,8 +208,8 @@ type Result struct {
 	PerClusterEnergy map[string]power.Joules
 
 	// CO2Grams is the whole-platform emissions over the run, with
-	// per-node and per-cluster breakdowns. All zero unless
-	// Config.Carbon is set.
+	// per-node and per-cluster breakdowns. All zero without a
+	// CarbonModule.
 	CO2Grams      float64
 	PerNodeCO2G   map[string]float64
 	PerClusterCO2 map[string]float64
@@ -303,8 +227,7 @@ type Result struct {
 	PreemptRedoneOps float64
 
 	// Boots and Shutdowns count controller-issued power transitions
-	// (zero unless a module — or the legacy Config.OnControl hook —
-	// drives Control.PowerOn/PowerOff).
+	// (zero unless a module drives Control.PowerOn/PowerOff).
 	Boots     int
 	Shutdowns int
 
@@ -314,8 +237,8 @@ type Result struct {
 	Rejected       int
 	Rejections     []Rejection
 
-	// SLA is the revenue/penalty ledger summary; nil without
-	// Config.SLA.
+	// SLA is the revenue/penalty ledger summary; nil without an
+	// SLAModule.
 	SLA *sla.Summary
 }
 
@@ -363,11 +286,7 @@ type sedState struct {
 	qhead   int
 	running map[int]*runningTask // task ID → record
 
-	// legacy selects the seed kernel's sort-based wait estimate (see
-	// Config.LegacyKernel).
-	legacy bool
-
-	// Wait-estimate cache (event-heap kernel): avail is the reusable
+	// Wait-estimate cache: avail is the reusable
 	// slot-availability scratch heap; waitAbs caches the absolute time
 	// a slot first frees for new work, valid while waitVer == mutVer+1
 	// (the +1 keeps the zero value invalid). mutVer advances on every
@@ -389,7 +308,7 @@ type sedState struct {
 	extVals  [1]float64
 
 	// site and co2 carry the node's grid signal and emissions
-	// integrator when Config.Carbon is set.
+	// integrator when a CarbonModule is stacked.
 	site *carbon.SiteProfile
 	co2  *carbon.Integrator
 
@@ -533,18 +452,15 @@ func (s *sedState) bumpWait() { s.mutVer++ }
 // queued work (§III-C assumes task durations are known to the
 // scheduler).
 //
-// The event-heap kernel drains the backlog over a min-heap of
-// slot-availability times — one sift-down per queued task instead of
-// the seed kernel's full re-sort — and, when every slot is occupied,
-// caches the resulting absolute first-free time until the next
-// queue/running mutation: between mutations the wait seen at a later
-// probe is exactly cachedFirstFree − now. Both shortcuts evolve the
-// same multiset of availability times as the seed's sort loop, so the
-// returned floats are bit-identical (see the equivalence tests).
+// It drains the backlog over a min-heap of slot-availability times —
+// one sift-down per queued task instead of a full re-sort — and, when
+// every slot is occupied, caches the resulting absolute first-free
+// time until the next queue/running mutation: between mutations the
+// wait seen at a later probe is exactly cachedFirstFree − now. Both
+// shortcuts evolve the same multiset of availability times as a
+// re-sort per queued task, so the returned floats are bit-identical to
+// that reference (the sort oracle in waitestimate_test.go).
 func (s *sedState) waitEstimate(now float64) float64 {
-	if s.legacy {
-		return s.legacyWaitEstimate(now)
-	}
 	if s.qlen() == 0 && (s.freeSlots() > 0 || len(s.running) == 0) {
 		// Free capacity — or nothing running and nothing queued, where
 		// the padded availability times are all "now" either way.
@@ -573,8 +489,7 @@ func (s *sedState) waitEstimate(now float64) float64 {
 
 // firstFree simulates draining the backlog over the slot-availability
 // min-heap and returns the absolute time a slot first frees for a new
-// task. pad fills unoccupied slots with now (the seed kernel's
-// padding).
+// task. pad fills unoccupied slots with now.
 func (s *sedState) firstFree(now float64, pad bool) float64 {
 	avail := s.avail[:0]
 	for _, rt := range s.running {
@@ -624,59 +539,14 @@ func floatHeapSift(h []float64, i int) {
 	}
 }
 
-// legacyWaitEstimate is the seed kernel's sort-per-queued-task wait
-// estimate, retained behind Config.LegacyKernel as the equivalence
-// reference.
-func (s *sedState) legacyWaitEstimate(now float64) float64 {
-	if s.freeSlots() > 0 && s.qlen() == 0 {
-		return 0
-	}
-	// Slot-availability times: running tasks' finish times, padded
-	// with "now" for free slots.
-	avail := make([]float64, 0, s.slots)
-	for _, rt := range s.running {
-		avail = append(avail, rt.finish.At.Seconds())
-	}
-	for len(avail) < s.slots {
-		avail = append(avail, now)
-	}
-	sort.Float64s(avail)
-	// Drain the queue ahead of the hypothetical new task.
-	for _, p := range s.queued() {
-		start := avail[0]
-		exec := s.node.Spec.TaskSeconds(p.task.Ops)
-		avail[0] = start + exec
-		sort.Float64s(avail)
-	}
-	w := avail[0] - now
-	if w < 0 {
-		w = 0
-	}
-	return w
-}
-
-// vector builds the SED's estimation vector — the default estimation
-// function of the paper's plug-in scheduler, extended with the energy
-// tags (§III-A: "These metrics are incorporated into DIET SED to
-// populate its estimation vector using new tags").
-func (s *sedState) vector(now float64, rng *rand.Rand) *estvec.Vector {
-	return s.vectorFor(now, rng, false)
-}
-
-// vectorFor is vector with an optional candidacy bypass: SLA express
-// traffic (sla.Config.UrgentBypass) may elect any *powered-on* node
-// even while a controller has revoked its candidacy to defer
-// deferrable work. Powered-off nodes stay unusable either way.
-func (s *sedState) vectorFor(now float64, rng *rand.Rand, bypassCandidacy bool) *estvec.Vector {
-	v := estvec.New(s.node.Spec.Name)
-	s.fillVector(v, now, rng, bypassCandidacy)
-	return v
-}
-
-// fillVector populates v in place — the zero-alloc spelling of
-// vectorFor the event-heap kernel uses with per-SED scratch vectors.
-// Both kernels run the identical Set sequence (including the
-// TagRandom draw), so elections are bit-for-bit the same.
+// fillVector populates v in place with the SED's estimation vector —
+// the default estimation function of the paper's plug-in scheduler,
+// extended with the energy tags (§III-A: "These metrics are
+// incorporated into DIET SED to populate its estimation vector using
+// new tags"). bypassCandidacy lets SLA express traffic
+// (sla.Config.UrgentBypass) elect any *powered-on* node even while a
+// controller has revoked its candidacy to defer deferrable work;
+// powered-off nodes stay unusable either way.
 func (s *sedState) fillVector(v *estvec.Vector, now float64, rng *rand.Rand, bypassCandidacy bool) {
 	v.Reset(s.node.Spec.Name).
 		Set(estvec.TagFreeCores, float64(s.freeSlots())).
@@ -749,8 +619,7 @@ type Runner struct {
 	sel  *sched.Selector
 	res  *Result
 
-	// mods is the effective module stack: the legacy Config hooks
-	// converted into adapters, then Config.Modules.
+	// mods is the run's module stack (Config.Modules).
 	mods []Module
 	// lobs caches the stack's LifecycleObserver implementations; empty
 	// for most runs, so emitting costs one nil-slice check.
@@ -762,9 +631,7 @@ type Runner struct {
 	// controllers can see the most urgent pending deadline.
 	waiting map[int]workload.Task
 
-	// sla and pre are installed by SLAModule / PreemptModule Init (the
-	// legacy Config.SLA / Config.Preemption fields arrive here through
-	// their adapters).
+	// sla and pre are installed by SLAModule / PreemptModule Init.
 	sla *sla.Config
 	pre *sla.Preemption
 
@@ -775,8 +642,7 @@ type Runner struct {
 	ledger  *sla.Ledger
 	order   sched.TaskOrder
 
-	// Event-heap kernel scratch (nil under Config.LegacyKernel): one
-	// reusable estimation vector per SED plus the candidate list and
+	// Kernel scratch: one reusable estimation vector per SED plus the candidate list and
 	// per-task selector, so the election inner loop allocates nothing;
 	// arrivals holds the tasks in stable (Submit, config-order) order
 	// for the arrival cursor; rtFree recycles runningTask records.
@@ -835,7 +701,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			slots:     slots,
 			running:   make(map[int]*runningTask),
 			candidate: true,
-			legacy:    cfg.LegacyKernel,
 		}
 		if cfg.Static {
 			cal := cluster.BenchmarkNode(spec, 1e9, 0, nil)
@@ -843,13 +708,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		r.seds = append(r.seds, sed)
 	}
-	if !cfg.LegacyKernel {
-		r.vecs = make([]estvec.Vector, len(r.seds))
-		r.list = make(estvec.List, 0, len(r.seds))
-	}
-	// The module stack attaches last, over fully built platform state:
-	// legacy one-slot hooks first (as adapters), then Config.Modules.
-	r.mods = cfg.modules()
+	r.vecs = make([]estvec.Vector, len(r.seds))
+	r.list = make(estvec.List, 0, len(r.seds))
+	// The module stack attaches last, over fully built platform state.
+	r.mods = cfg.Modules
 	for _, m := range r.mods {
 		if err := m.Init(r); err != nil {
 			return nil, err
@@ -891,30 +753,17 @@ func Run(cfg Config) (*Result, error) {
 
 // Run drives the event loop until all tasks complete.
 func (r *Runner) Run() (*Result, error) {
-	if r.cfg.LegacyKernel {
-		// Seed kernel: one event per task. Setup-time scheduling gives
-		// arrivals the lowest sequence numbers, so at any instant they
-		// fire before every same-time runtime event.
-		for _, task := range r.cfg.Tasks {
-			task := task
-			r.eng.At(simtime.Time(task.Submit), "arrival", func(now simtime.Time) {
-				r.onArrival(now.Seconds(), pendingTask{task: task})
-			})
-		}
-	} else {
-		// Event-heap kernel: a single self-advancing cursor walks the
-		// tasks in stable (Submit, config-order) order, draining every
-		// arrival that shares an instant in one event. Front-class
-		// scheduling (simtime.AtFront) preserves the seed ordering:
-		// arrivals before crashes, retries, restarts and finishes at
-		// the same virtual time.
-		r.arrivals = make([]workload.Task, len(r.cfg.Tasks))
-		copy(r.arrivals, r.cfg.Tasks)
-		sort.SliceStable(r.arrivals, func(i, j int) bool {
-			return r.arrivals[i].Submit < r.arrivals[j].Submit
-		})
-		r.scheduleArrivals(0)
-	}
+	// A single self-advancing cursor walks the tasks in stable (Submit,
+	// config-order) order, draining every arrival that shares an
+	// instant in one event. Front-class scheduling (simtime.AtFront)
+	// fires arrivals before crashes, retries, restarts and finishes at
+	// the same virtual time.
+	r.arrivals = make([]workload.Task, len(r.cfg.Tasks))
+	copy(r.arrivals, r.cfg.Tasks)
+	sort.SliceStable(r.arrivals, func(i, j int) bool {
+		return r.arrivals[i].Submit < r.arrivals[j].Submit
+	})
+	r.scheduleArrivals(0)
 	for name, at := range r.cfg.Crashes {
 		idx := r.cfg.Platform.Find(name)
 		if idx < 0 {
@@ -945,9 +794,8 @@ func (r *Runner) Run() (*Result, error) {
 }
 
 // scheduleArrivals arms the arrival cursor at r.arrivals[i]'s submit
-// time. Each firing submits every task sharing that instant — in the
-// same order the seed kernel's per-task events would have fired — then
-// re-arms for the next distinct submit time.
+// time. Each firing submits every task sharing that instant, in config
+// order, then re-arms for the next distinct submit time.
 func (r *Runner) scheduleArrivals(i int) {
 	if i >= len(r.arrivals) {
 		return
@@ -999,25 +847,17 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 	// SLA express lane: deadline-carrying tasks may bypass candidacy
 	// windows (controllers defer only deferrable work through them).
 	bypass := r.sla != nil && r.sla.UrgentBypass && r.taskView(p.task).Deadline > 0
-	var list estvec.List
-	if r.cfg.LegacyKernel {
-		list = make(estvec.List, 0, len(r.seds))
-		for _, sed := range r.seds {
-			list = append(list, sed.vectorFor(now, r.rng, bypass))
-		}
-	} else {
-		// Zero-alloc election inner loop: refill the per-SED scratch
-		// vectors in place. Nothing downstream retains the vectors
-		// past this arrival (Select reads; the chosen server's name is
-		// copied out), so reuse is safe.
-		list = r.list[:0]
-		for i, sed := range r.seds {
-			v := &r.vecs[i]
-			sed.fillVector(v, now, r.rng, bypass)
-			list = append(list, v)
-		}
-		r.list = list
+	// Zero-alloc election inner loop: refill the per-SED scratch
+	// vectors in place. Nothing downstream retains the vectors past
+	// this arrival (Select reads; the chosen server's name is copied
+	// out), so reuse is safe.
+	list := r.list[:0]
+	for i, sed := range r.seds {
+		v := &r.vecs[i]
+		sed.fillVector(v, now, r.rng, bypass)
+		list = append(list, v)
 	}
+	r.list = list
 	// Election policy: each module may wrap (or replace) the policy the
 	// previous one produced, starting from the run's base policy.
 	sel := r.sel
@@ -1117,8 +957,7 @@ func (r *Runner) startTask(now float64, sed *sedState, p pendingTask) {
 	r.emit(obs.Event{T: now, Event: obs.EventSolve, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name})
 }
 
-// newRunning takes a runningTask from the free list (event-heap
-// kernel) or allocates one.
+// newRunning takes a runningTask from the free list or allocates one.
 func (r *Runner) newRunning() *runningTask {
 	if n := len(r.rtFree); n > 0 {
 		rt := r.rtFree[n-1]
@@ -1132,9 +971,6 @@ func (r *Runner) newRunning() *runningTask {
 // referenced: its finish event has fired or been cancelled and its
 // fields copied out.
 func (r *Runner) freeRunning(rt *runningTask) {
-	if r.cfg.LegacyKernel {
-		return
-	}
 	*rt = runningTask{}
 	r.rtFree = append(r.rtFree, rt)
 }

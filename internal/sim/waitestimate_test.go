@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"greensched/internal/cluster"
@@ -10,12 +11,40 @@ import (
 	"greensched/internal/workload"
 )
 
-// This file pins the wait-estimate refactor: the event-heap kernel's
-// min-heap + cached-first-free estimate must return bit-identical
-// floats to the seed kernel's sort-per-queued-task loop on arbitrary
-// SED states, and the hot path must not allocate — the seed version
-// cost O(q·s·log s) comparisons and one fresh slice per probe, which
-// dominated the 10k-task benchmark.
+// This file pins the wait estimate: the min-heap + cached-first-free
+// estimate must return bit-identical floats to the seed kernel's
+// sort-per-queued-task loop (sortWaitEstimate, kept here as the test
+// oracle) on arbitrary SED states, and the hot path must not allocate
+// — the sort version cost O(q·s·log s) comparisons and one fresh
+// slice per probe, which dominated the 10k-task benchmark.
+
+// sortWaitEstimate is the oracle: slot-availability times (running
+// tasks' finish times, padded with now for free slots) re-sorted after
+// each queued task drains onto the earliest slot.
+func sortWaitEstimate(s *sedState, now float64) float64 {
+	if s.freeSlots() > 0 && s.qlen() == 0 {
+		return 0
+	}
+	avail := make([]float64, 0, s.slots)
+	for _, rt := range s.running {
+		avail = append(avail, rt.finish.At.Seconds())
+	}
+	for len(avail) < s.slots {
+		avail = append(avail, now)
+	}
+	sort.Float64s(avail)
+	for _, p := range s.queued() {
+		start := avail[0]
+		exec := s.node.Spec.TaskSeconds(p.task.Ops)
+		avail[0] = start + exec
+		sort.Float64s(avail)
+	}
+	w := avail[0] - now
+	if w < 0 {
+		w = 0
+	}
+	return w
+}
 
 // waitSED builds a SED with nrun running tasks (finish times drawn
 // from rng) and nq queued tasks, at virtual time now.
@@ -44,8 +73,9 @@ func waitSED(t *testing.T, eng *simtime.Engine, rng *rand.Rand, slots, nrun, nq 
 }
 
 // TestWaitEstimateMatchesLegacy: the heap/cached estimate equals the
-// seed sort-based estimate bit-for-bit across randomized states,
-// repeated probes (cache hits) and interleaved mutations.
+// sort oracle bit-for-bit across randomized states, repeated probes
+// (cache hits) and interleaved mutations, on shallow and deep backlogs
+// and on queues with a dead prefix.
 func TestWaitEstimateMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -60,7 +90,7 @@ func TestWaitEstimateMatchesLegacy(t *testing.T) {
 		sed := waitSED(t, eng, rng, slots, nrun, nq, now)
 		for probe := 0; probe < 3; probe++ {
 			got := sed.waitEstimate(now)
-			want := sed.legacyWaitEstimate(now)
+			want := sortWaitEstimate(sed, now)
 			if got != want {
 				t.Fatalf("trial %d probe %d: waitEstimate %v != legacy %v (slots=%d run=%d q=%d)",
 					trial, probe, got, want, slots, nrun, nq)
@@ -70,8 +100,44 @@ func TestWaitEstimateMatchesLegacy(t *testing.T) {
 		// Mutate the queue and probe again: the version bump must
 		// invalidate the cache.
 		sed.pushQueue(pendingTask{task: workload.Task{ID: 9999, Ops: 3e11}})
-		if got, want := sed.waitEstimate(now), sed.legacyWaitEstimate(now); got != want {
+		if got, want := sed.waitEstimate(now), sortWaitEstimate(sed, now); got != want {
 			t.Fatalf("trial %d after push: %v != %v", trial, got, want)
+		}
+	}
+
+	// Deep backlogs, and dead prefixes: head dequeues advance qhead
+	// (heads < 256 never compact; 300 of 4096 leaves qhead at 300),
+	// and 2048 of 4096 compacts the arena back to qhead 0 before the
+	// later heads advance it again.
+	for _, tc := range []struct{ nq, heads, qhead int }{
+		{256, 0, 0}, {256, 100, 100}, {4096, 0, 0}, {4096, 300, 300}, {4096, 2048 + 37, 37},
+	} {
+		for trial := 0; trial < 4; trial++ {
+			eng := simtime.NewEngine()
+			now := rng.Float64() * 100
+			slots := 1 + rng.Intn(8)
+			nrun := rng.Intn(slots + 1)
+			sed := waitSED(t, eng, rng, slots, nrun, tc.nq, now)
+			for i := 0; i < tc.heads; i++ {
+				sed.removeQueued(0)
+			}
+			if sed.qhead != tc.qhead {
+				t.Fatalf("nq=%d heads=%d: qhead %d, want %d", tc.nq, tc.heads, sed.qhead, tc.qhead)
+			}
+			for probe := 0; probe < 3; probe++ {
+				if got, want := sed.waitEstimate(now), sortWaitEstimate(sed, now); got != want {
+					t.Fatalf("nq=%d heads=%d trial %d probe %d: waitEstimate %v != oracle %v (slots=%d run=%d qhead=%d)",
+						tc.nq, tc.heads, trial, probe, got, want, slots, nrun, sed.qhead)
+				}
+				now += rng.Float64() * 10
+			}
+			// A head dequeue and a mid-queue removal must each
+			// invalidate the cache.
+			sed.removeQueued(0)
+			sed.removeQueued(sed.qlen() / 2)
+			if got, want := sed.waitEstimate(now), sortWaitEstimate(sed, now); got != want {
+				t.Fatalf("nq=%d heads=%d trial %d after removals: %v != %v", tc.nq, tc.heads, trial, got, want)
+			}
 		}
 	}
 }
