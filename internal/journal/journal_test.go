@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -202,7 +203,9 @@ func TestTornTail(t *testing.T) {
 // the records before it and reports the cut.
 func TestCorruptChecksum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	j, err := Open(path, Options{})
+	// A fixed clock keeps every record's encoded length the same from
+	// run to run.
+	j, err := Open(path, Options{Now: func() float64 { return 1000 }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +221,12 @@ func TestCorruptChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte roughly in the middle of the log (inside the
-	// second or third record, past its header).
-	raw[len(raw)/2] ^= 0xff
+	// Flip a byte in the middle of the second record's payload: past
+	// the first frame (header + payload) and the second frame's header,
+	// so the flip never lands in a length field.
+	second := headerBytes + int(binary.LittleEndian.Uint32(raw[0:4]))
+	payload := int(binary.LittleEndian.Uint32(raw[second : second+4]))
+	raw[second+headerBytes+payload/2] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
