@@ -30,10 +30,13 @@ package greensched
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -526,9 +529,48 @@ type benchSnapshot struct {
 	Benches map[string]benchSnapshotEntry `json:"benches"`
 }
 
+// newestSnapshot returns the BENCH_<n>.json in dir with the highest n,
+// compared as a number so BENCH_10 outranks BENCH_9.
+func newestSnapshot(dir string) (string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return "", err
+	}
+	best, bestN := "", -1
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+		if err == nil && n > bestN {
+			best, bestN = p, n
+		}
+	}
+	if best == "" {
+		return "", fmt.Errorf("no BENCH_<n>.json snapshot in %s", dir)
+	}
+	return best, nil
+}
+
+func TestNewestSnapshotComparesNumerically(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := newestSnapshot(dir); err == nil {
+		t.Error("empty directory yielded a snapshot")
+	}
+	for _, name := range []string{"BENCH_2.json", "BENCH_9.json", "BENCH_10.json", "BENCH_x.json", "BENCH_11.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := newestSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "BENCH_10.json"); got != want {
+		t.Errorf("newest snapshot %s, want %s", got, want)
+	}
+}
+
 // TestBenchDelta is the CI bench-delta gate (BENCH_DELTA=1): it runs
 // BenchmarkSimHotPath live and fails when ns/op or allocs/op regress
-// more than 25% against the committed BENCH_10.json. allocs/op is
+// more than 25% against the newest committed BENCH_<n>.json. allocs/op is
 // deterministic, so that bound catches real regressions exactly;
 // ns/op is noisier on shared runners, which is why the tolerance is a
 // wide 25% rather than a tight SLO — the gate exists to catch
@@ -537,22 +579,26 @@ func TestBenchDelta(t *testing.T) {
 	if os.Getenv("BENCH_DELTA") == "" {
 		t.Skip("set BENCH_DELTA=1 to run the bench-delta gate")
 	}
-	data, err := os.ReadFile("BENCH_10.json")
+	path, err := newestSnapshot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap benchSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("parse BENCH_10.json: %v", err)
+		t.Fatalf("parse %s: %v", path, err)
 	}
 	base, ok := snap.Benches["BenchmarkSimHotPath"]
 	if !ok {
-		t.Fatal("BENCH_10.json has no BenchmarkSimHotPath entry")
+		t.Fatalf("%s has no BenchmarkSimHotPath entry", path)
 	}
 	const tolerance = 1.25
 	r := testing.Benchmark(BenchmarkSimHotPath)
-	t.Logf("BenchmarkSimHotPath: live %d ns/op %d allocs/op (n=%d), snapshot %d ns/op %d allocs/op",
-		r.NsPerOp(), r.AllocsPerOp(), r.N, base.NsPerOp, base.AllocsPerOp)
+	t.Logf("BenchmarkSimHotPath: live %d ns/op %d allocs/op (n=%d), %s %d ns/op %d allocs/op",
+		r.NsPerOp(), r.AllocsPerOp(), r.N, path, base.NsPerOp, base.AllocsPerOp)
 	if maxNs := int64(float64(base.NsPerOp) * tolerance); r.NsPerOp() > maxNs {
 		t.Errorf("ns/op regressed: %d > %d (snapshot %d + 25%%)", r.NsPerOp(), maxNs, base.NsPerOp)
 	}
