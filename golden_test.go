@@ -1,24 +1,17 @@
 // Golden digests: every seeded sim scenario and every sim-substrate
 // study reproduces the SHA-256 of its json.Marshal(Result) recorded
 // under testdata/golden. The digests were recorded from the seed
-// scheduling kernel and the deprecated one-slot Config spellings while
-// those still existed, and the event-heap kernel and the module
-// spellings were asserted to reproduce them; the recorded outputs are
-// now the reference those paths used to be. If a change ever moves an election, a wait
-// estimate, a virtual timestamp or a ledger entry, these tests fail
-// before any figure drifts. Run `go test -run Golden -update .` only
-// for a change that alters results on purpose.
+// scheduling kernel and the deprecated one-slot Config spellings, and
+// the event-heap kernel and the module spellings were asserted to
+// reproduce them before those paths were deleted. If a change ever
+// moves an election, a wait estimate, a virtual timestamp or a ledger
+// entry, these tests fail before any figure drifts. Run
+// `go test -update . ./internal/sim ./internal/middleware` only for a
+// change that alters results on purpose.
 package greensched
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"greensched/internal/budget"
@@ -27,47 +20,12 @@ import (
 	"greensched/internal/consolidation"
 	"greensched/internal/core"
 	"greensched/internal/experiments"
+	"greensched/internal/golden"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
 	"greensched/internal/sla"
 	"greensched/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden digests under testdata/golden")
-
-// resultDigest is the hex SHA-256 of v's JSON encoding.
-func resultDigest(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// checkGolden compares got with testdata/golden/name, or rewrites that
-// file under -update.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
-	}
-	if w := strings.TrimSuffix(string(want), "\n"); w != got {
-		t.Errorf("%s: got %s, golden %s", name, got, w)
-	}
-}
 
 // equivTasks builds a seeded burst-then-rate workload.
 func equivTasks(t *testing.T, n int, burst int, rate float64) []workload.Task {
@@ -204,7 +162,7 @@ func TestEventKernelMatchesLegacyKernel(t *testing.T) {
 				if res.Completed == 0 {
 					t.Fatalf("seed %d: scenario completed nothing; the digest is vacuous", seed)
 				}
-				checkGolden(t, fmt.Sprintf("%s-seed%d.sha256", name, seed), resultDigest(t, res))
+				golden.Check(t, fmt.Sprintf("%s-seed%d.sha256", name, seed), golden.Digest(t, res))
 			}
 		})
 	}
@@ -269,7 +227,7 @@ func TestStudiesMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "study-"+name+".sha256", resultDigest(t, res))
+			golden.Check(t, "study-"+name+".sha256", golden.Digest(t, res))
 		})
 	}
 }

@@ -3,14 +3,11 @@ package middleware
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"greensched/internal/estvec"
+	"greensched/internal/golden"
 	"greensched/internal/sched"
 )
 
@@ -18,31 +15,6 @@ import (
 // recorded from the legacy one-slot SEDConfig fields (Meter, Carbon,
 // Estimation): the explicit interceptor spelling must reproduce the
 // recorded estimation tags and the server every policy elects.
-
-var update = flag.Bool("update", false, "rewrite the golden tables under testdata/golden")
-
-// checkGolden compares got with testdata/golden/name, or rewrites that
-// file under -update.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
-	}
-	if w := strings.TrimSuffix(string(want), "\n"); w != got {
-		t.Errorf("%s:\ngot    %s\ngolden %s", name, got, w)
-	}
-}
 
 // goldenPolicies are the policies whose election on the golden pair is
 // a function of the deterministic tags alone (PERFORMANCE ranks on
@@ -131,7 +103,7 @@ func electionTable(t *testing.T, seds map[string]*SED) string {
 // the interceptor stack reproduces the recorded estimation tags and
 // elections of the legacy config.
 func TestLegacySEDConfigMatchesInterceptorStack(t *testing.T) {
-	checkGolden(t, "elections.json", electionTable(t, goldenPair(t)))
+	golden.Check(t, "elections.json", electionTable(t, goldenPair(t)))
 }
 
 // TestLegacyEstimationMatchesEstimationInterceptor: a fully custom
@@ -159,7 +131,7 @@ func TestLegacyEstimationMatchesEstimationInterceptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "custom-estimation.txt", v[0].String())
+	golden.Check(t, "custom-estimation.txt", v[0].String())
 	if v[0].Has(estvec.TagCarbonIntensity) {
 		t.Error("estimation override must suppress the carbon tag")
 	}

@@ -1,16 +1,10 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"greensched/internal/carbon"
+	"greensched/internal/golden"
 	"greensched/internal/power"
 	"greensched/internal/sched"
 	"greensched/internal/sla"
@@ -22,42 +16,6 @@ import (
 // Preemption, PolicyFunc, OnFinish, OnControl): the explicit module
 // spelling of the same scenario must reproduce that Result and the
 // completion order its OnFinish hook saw, byte for byte.
-
-var update = flag.Bool("update", false, "rewrite the golden digests under testdata/golden")
-
-// digest is the hex SHA-256 of v's JSON encoding.
-func digest(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// checkGolden compares got with testdata/golden/name, or rewrites that
-// file under -update.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
-	}
-	if w := strings.TrimSuffix(string(want), "\n"); w != got {
-		t.Errorf("%s: got %s, golden %s", name, got, w)
-	}
-}
 
 // compatProfile builds a small two-site grid.
 func compatProfile() *carbon.Profile {
@@ -179,8 +137,8 @@ func TestLegacyConfigMatchesModuleStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "compat.sha256", digest(t, res))
-	checkGolden(t, "compat-onfinish.sha256", digest(t, seen))
+	golden.Check(t, "compat.sha256", golden.Digest(t, res))
+	golden.Check(t, "compat-onfinish.sha256", golden.Digest(t, seen))
 	// The scenario must actually have exercised the whole surface.
 	if res.CO2Grams <= 0 {
 		t.Error("scenario never integrated emissions")
