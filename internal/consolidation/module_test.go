@@ -26,7 +26,7 @@ func TestModuleInitValidatesController(t *testing.T) {
 
 func TestModuleTickDelegates(t *testing.T) {
 	// A drained, long-idle node must be shut down through the module
-	// path exactly as through the legacy OnControl hook.
+	// path exactly as by a direct Controller.Tick.
 	ctl := &fakeControl{nodes: []sim.NodeView{
 		{Name: "a", State: power.On, Slots: 2, Idle: 500, Candidate: true},
 		{Name: "b", State: power.On, Slots: 2, Idle: 500, Candidate: true},

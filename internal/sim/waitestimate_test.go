@@ -92,7 +92,7 @@ func TestWaitEstimateMatchesLegacy(t *testing.T) {
 			got := sed.waitEstimate(now)
 			want := sortWaitEstimate(sed, now)
 			if got != want {
-				t.Fatalf("trial %d probe %d: waitEstimate %v != legacy %v (slots=%d run=%d q=%d)",
+				t.Fatalf("trial %d probe %d: waitEstimate %v != oracle %v (slots=%d run=%d q=%d)",
 					trial, probe, got, want, slots, nrun, nq)
 			}
 			now += rng.Float64() * 10 // later probe, same state: cache path
